@@ -301,7 +301,7 @@ filterCharPrefix(std::span<const std::uint8_t> chars,
                  std::string_view prefix, bool negate)
 {
     // A prefix longer than the column can never match (substr
-    // semantics of the scalar path).
+    // semantics).
     const bool possible = prefix.size() <= width;
     std::size_t n = 0;
     for (std::size_t i = 0; i < sel.idx.size(); ++i) {

@@ -195,9 +195,9 @@ class BatchColumnReader
 
 /**
  * Inline composite key: join, group and subquery keys hashed as
- * whole int tuples (no per-row byte-string building). Capacity
- * bounds the batch engine; wider plans fall back to the scalar
- * executor.
+ * whole int tuples (no per-row byte-string building). kMaxKeys is
+ * the plan-wide key-column limit: validatePlan rejects any group-by,
+ * join or subquery key set wider than it.
  */
 struct InlineKey
 {
@@ -218,7 +218,7 @@ struct InlineKey
     }
 
     /** Lexicographic over the used slots (== std::map<vector> order
-     *  of the scalar executor when every key has the same arity). */
+     *  when every key has the same arity). */
     bool
     operator<(const InlineKey &o) const
     {
@@ -418,8 +418,7 @@ forEachMorselInRange(storage::Region reg, RowId begin, RowId end,
 
 /**
  * Apply fn(Morsel) to every morsel of both regions: the data region
- * first, then the delta region, ascending — the same row order the
- * scalar forEachVisibleRow walk produces.
+ * first, then the delta region, ascending.
  */
 template <typename Fn>
 void

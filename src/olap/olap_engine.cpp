@@ -870,7 +870,7 @@ deltaEligible(const ResultCache::Entry &entry, const QueryPlan &plan,
               const htap::FrontierVector &current,
               const txn::Database &db)
 {
-    if (!entry.hasGroups || !incrementalCapable(plan))
+    if (!incrementalCapable(plan))
         return false;
     std::set<ChTable> build_or_sub;
     for (const auto &join : plan.joins)
@@ -930,7 +930,7 @@ OlapEngine::runQueryCached(const QueryPlan &plan,
     }
 
     // Cold run or fallback: execute in full (capturing the group
-    // accumulators when the batch engine ran) and refresh the entry.
+    // accumulators) and refresh the entry.
     ++cache_->misses;
     PlanExecution exec;
     QueryReport rep = runQueryUncached(plan, result, &exec);
@@ -941,7 +941,6 @@ OlapEngine::runQueryCached(const QueryPlan &plan,
     entry.frontier = std::move(current);
     entry.probeData = probe_tbl.store().dataVisible();
     entry.probeDelta = probe_tbl.store().deltaVisible();
-    entry.hasGroups = exec.groupsCaptured && incrementalCapable(plan);
     entry.groups = std::move(exec.groups);
     entry.rowsVisible = exec.rowsVisible;
     entry.result = std::move(exec.result);
@@ -1002,7 +1001,7 @@ OlapEngine::runQueryIncremental(const QueryPlan &plan,
     // measured; join flows fold only into signatures the cold run
     // already recorded (a demotion may have renamed them) so a
     // delta-only orphan can never mislead the reorderer.
-    if (cfg_.optimize && exec.stats.collected) {
+    if (cfg_.optimize) {
         auto &ps = statsCache_[plan.name];
         ++ps.runs;
         ps.probeVisible += exec.stats.probeVisible;

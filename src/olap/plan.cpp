@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/log.hpp"
+#include "olap/batch.hpp"
 
 namespace pushtap::olap {
 
@@ -292,10 +293,10 @@ checkSubquery(const QueryPlan &plan, const SubquerySpec &sub,
               std::size_t idx)
 {
     checkInput(plan, sub.source, /*is_probe=*/false);
-    if (sub.groupBy.size() > kMaxSubqueryGroupKeys)
+    if (sub.groupBy.size() > InlineKey::kMaxKeys)
         fatal("plan {}: subquery {} has {} group columns (max {})",
               plan.name, idx, sub.groupBy.size(),
-              kMaxSubqueryGroupKeys);
+              InlineKey::kMaxKeys);
     for (const auto &col : sub.groupBy)
         checkColumn(plan, sub.source.table, col,
                     format::ColType::Int);
@@ -341,6 +342,9 @@ validatePlan(const QueryPlan &plan)
         if (join.keys.empty())
             fatal("plan {}: join {} has no equality keys", plan.name,
                   k);
+        if (join.keys.size() > InlineKey::kMaxKeys)
+            fatal("plan {}: join {} has {} key columns (max {})",
+                  plan.name, k, join.keys.size(), InlineKey::kMaxKeys);
         for (const auto &[build_col, ref] : join.keys) {
             checkColumn(plan, join.build.table, build_col,
                         format::ColType::Int);
@@ -353,6 +357,9 @@ validatePlan(const QueryPlan &plan)
             fatal("plan {}: join {} is semi/anti but has a payload",
                   plan.name, k);
     }
+    if (plan.groupBy.size() > InlineKey::kMaxKeys)
+        fatal("plan {}: {} group columns (max {})", plan.name,
+              plan.groupBy.size(), InlineKey::kMaxKeys);
     for (const auto &key : plan.groupBy)
         checkRef(plan, key, plan.joins.size(), "group key");
     for (const auto &agg : plan.aggregates) {

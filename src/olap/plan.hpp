@@ -131,10 +131,6 @@ struct SubqueryAgg
  * the Q17/Q20 `qty < 0.2 * AVG(qty) per item` shape, with AVG
  * spelled exactly in integers via separate sum and count slots.
  */
-/** Group-key arity cap of a scalar subquery (the materialized
- *  lookup keys on the batch layer's inline int tuple). */
-inline constexpr std::size_t kMaxSubqueryGroupKeys = 8;
-
 struct SubquerySpec
 {
     TableInput source;
@@ -212,8 +208,10 @@ std::set<std::string> fusedProbeColumns(const QueryPlan &plan);
 /**
  * Structural validation against the CH schemas: referenced columns
  * exist with the right ColType, join-key/group/aggregate references
- * resolve to the probe table or an earlier Inner join's payload.
- * fatal() on violation.
+ * resolve to the probe table or an earlier Inner join's payload, and
+ * no group-by, join or subquery key set has more columns than the
+ * executor's inline key holds (InlineKey::kMaxKeys, 8). fatal() on
+ * violation.
  */
 void validatePlan(const QueryPlan &plan);
 

@@ -11,13 +11,18 @@
 #include "olap/batch.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
+#include "workload/row_view.hpp"
 
 namespace pushtap::olap {
 namespace {
 
 using storage::Region;
+using testsupport::expectMatchesReference;
+using testsupport::referenceCatalog;
+using testsupport::referenceExecution;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -112,7 +117,7 @@ TEST(SelectionKernels, CharPrefixLongerThanColumnNeverMatches)
     filterCharPrefix(chars, w, sel, "ABC", false);
     EXPECT_TRUE(sel.empty());
 
-    // ... so its negation keeps everything (scalar substr rule).
+    // ... so its negation keeps everything (substr rule).
     sel = iota(2);
     filterCharPrefix(chars, w, sel, "ABC", true);
     EXPECT_EQ(sel.size(), 2u);
@@ -132,10 +137,9 @@ TEST(MorselVisibility, MatchesFindNextWalk)
         dv.clear(r);
 
     std::vector<RowId> expect;
-    forEachVisibleRow(store, [&](Region reg, RowId r) {
-        if (reg == Region::Data)
-            expect.push_back(r);
-    });
+    for (std::size_t r = dv.findNext(0); r < dv.size();
+         r = dv.findNext(r + 1))
+        expect.push_back(static_cast<RowId>(r));
 
     std::vector<RowId> got;
     SelectionVector sel;
@@ -163,7 +167,29 @@ TEST(MorselVisibility, EmptyRegionYieldsEmptySelections)
     });
 }
 
-// ---- batch decode vs the scalar column scanner -------------------
+// ---- batch decode vs per-row canonical reads ----------------------
+
+/** One canonical row (TableStore::readRow) viewed through the
+ *  schema: the row-at-a-time decode the batch readers must match. */
+struct RowReader
+{
+    explicit RowReader(const txn::TableRuntime &tbl)
+        : store(&tbl.store()), schema(&tbl.schema()),
+          buf(tbl.schema().rowBytes())
+    {
+    }
+
+    workload::ConstRowView
+    read(Region reg, RowId r)
+    {
+        store->readRow(reg, r, buf);
+        return {*schema, buf};
+    }
+
+    const storage::TableStore *store;
+    const format::TableSchema *schema;
+    std::vector<std::uint8_t> buf;
+};
 
 class BatchDecodeTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -187,12 +213,12 @@ class BatchDecodeTest
     {
         const auto &tbl = db.table(table);
         const auto &store = tbl.store();
+        RowReader rows(tbl);
         for (const auto &col : tbl.schema().columns()) {
             const BatchColumnReader rd(store, col.name);
-            const ColumnScanner scan(tbl, col.name);
+            const auto cid = tbl.schema().columnId(col.name);
             SelectionVector sel;
             ColumnBatch batch;
-            std::vector<std::uint8_t> row_buf(col.width);
             forEachMorsel(store, [&](const Morsel &m) {
                 visibleRows(store, m, sel);
                 if (col.type == format::ColType::Int) {
@@ -200,8 +226,9 @@ class BatchDecodeTest
                     ASSERT_EQ(batch.ints.size(), sel.size());
                     for (std::size_t i = 0; i < sel.size(); ++i)
                         ASSERT_EQ(batch.ints[i],
-                                  scan.intAt(m.reg,
-                                             m.base + sel.idx[i]))
+                                  rows.read(m.reg,
+                                            m.base + sel.idx[i])
+                                      .getInt(cid))
                             << col.name << " row "
                             << m.base + sel.idx[i];
                 }
@@ -209,12 +236,12 @@ class BatchDecodeTest
                 ASSERT_EQ(batch.chars.size(),
                           sel.size() * col.width);
                 for (std::size_t i = 0; i < sel.size(); ++i) {
-                    scan.charsAt(m.reg, m.base + sel.idx[i],
-                                 row_buf);
+                    const auto want =
+                        rows.read(m.reg, m.base + sel.idx[i])
+                            .getChars(cid);
                     ASSERT_EQ(std::memcmp(batch.chars.data() +
                                               i * col.width,
-                                          row_buf.data(),
-                                          col.width),
+                                          want.data(), col.width),
                               0)
                         << col.name << " row "
                         << m.base + sel.idx[i];
@@ -230,7 +257,7 @@ class BatchDecodeTest
     OlapEngine engine;
 };
 
-TEST_P(BatchDecodeTest, EveryColumnMatchesScalarScanner)
+TEST_P(BatchDecodeTest, EveryColumnMatchesCanonicalRowReads)
 {
     expectAllColumnsMatch(ChTable::OrderLine);
     expectAllColumnsMatch(ChTable::Orders);
@@ -266,7 +293,7 @@ INSTANTIATE_TEST_SUITE_P(
         return "Unknown";
     });
 
-TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
+TEST(BatchDecodeFragmented, GatherFallbackMatchesCanonicalRowReads)
 {
     // With only Q1's columns as keys, most columns fragment: the
     // reader must fall back to the per-row gather with identical
@@ -278,12 +305,13 @@ TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
     const auto &store = tbl.store();
 
     bool saw_fragmented = false;
+    RowReader rows(tbl);
     for (const auto &col : tbl.schema().columns()) {
         const BatchColumnReader rd(store, col.name);
         saw_fragmented |= !rd.strided();
         if (col.type != format::ColType::Int)
             continue;
-        const ColumnScanner scan(tbl, col.name);
+        const auto cid = tbl.schema().columnId(col.name);
         SelectionVector sel;
         ColumnBatch batch;
         forEachMorsel(store, [&](const Morsel &m) {
@@ -291,40 +319,20 @@ TEST(BatchDecodeFragmented, GatherFallbackMatchesScalar)
             rd.gatherInts(m, sel.span(), batch);
             for (std::size_t i = 0; i < sel.size(); ++i)
                 ASSERT_EQ(batch.ints[i],
-                          scan.intAt(m.reg, m.base + sel.idx[i]))
+                          rows.read(m.reg, m.base + sel.idx[i])
+                              .getInt(cid))
                     << col.name;
         });
     }
     EXPECT_TRUE(saw_fragmented);
 }
 
-// ---- batch executor vs the scalar reference pipeline -------------
+// ---- batch executor vs the naive reference executor ---------------
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys,
-                  want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs,
-                  want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
-class BatchVsScalarTest : public ::testing::Test
+class BatchVsReferenceTest : public ::testing::Test
 {
   protected:
-    BatchVsScalarTest()
+    BatchVsReferenceTest()
         : db(smallConfig()),
           bw(8, 8, true),
           timing(dram::Geometry::dimmDefault(),
@@ -344,19 +352,20 @@ class BatchVsScalarTest : public ::testing::Test
     OlapEngine engine;
 };
 
-TEST_F(BatchVsScalarTest, AllExecutablePlansMatch)
+TEST_F(BatchVsReferenceTest, AllExecutablePlansMatch)
 {
-    for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name);
+    const auto refs = referenceCatalog(db);
+    const auto &plans = workload::chExecutablePlans();
+    for (std::size_t i = 0; i < plans.size(); ++i)
+        expectMatchesReference(executePlan(db, plans[i].plan),
+                               refs[i], plans[i].plan.name);
 }
 
-TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
+TEST_F(BatchVsReferenceTest, FusedPassEqualsUnfusedOnRandomPlans)
 {
     // Property: the batch engine's fused filter+aggregate pass
-    // (joins absent) and its joined pipeline both equal the scalar
-    // executor on randomized plans.
+    // (joins absent) and its joined pipeline both equal the
+    // reference executor on randomized plans.
     Rng rng(20260725);
     for (int it = 0; it < 24; ++it) {
         QueryPlan p;
@@ -389,8 +398,8 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
         p.name += std::string("#") + std::to_string(it);
 
         const auto batch = executePlan(db, p);
-        expectSameExecution(batch, executePlanScalar(db, p),
-                            p.name);
+        expectMatchesReference(batch, referenceExecution(db, p),
+                               p.name);
         // Fusion is reported exactly when the whole probe pass
         // stays one fused kernel: join-free, or every join a
         // probe-keyed semi/anti existence filter.
@@ -401,7 +410,7 @@ TEST_F(BatchVsScalarTest, FusedPassEqualsUnfusedOnRandomPlans)
     }
 }
 
-TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
+TEST_F(BatchVsReferenceTest, MinMaxAggregatesMatchReference)
 {
     QueryPlan p;
     p.name = "minmax";
@@ -409,16 +418,17 @@ TEST_F(BatchVsScalarTest, MinMaxAggregatesMatchAcrossExecutors)
     p.aggregates = {{AggKind::Min, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Max, {ColRef::kProbe, "ol_amount"}},
                     {AggKind::Sum, {ColRef::kProbe, "ol_quantity"}}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), p.name);
+    expectMatchesReference(executePlan(db, p),
+                           referenceExecution(db, p), p.name);
 
     // Grouped variant exercises per-group Min/Max seeding.
     p.groupBy = {{ColRef::kProbe, "ol_number"}};
-    expectSameExecution(executePlan(db, p),
-                        executePlanScalar(db, p), "minmax grouped");
+    expectMatchesReference(executePlan(db, p),
+                           referenceExecution(db, p),
+                           "minmax grouped");
 }
 
-TEST_F(BatchVsScalarTest, FusedScanPricingReducesModelledTime)
+TEST_F(BatchVsReferenceTest, FusedScanPricingReducesModelledTime)
 {
     // With fuseScans on, results stay identical and the modelled
     // PIM time of a fused plan drops (one serial scan instead of

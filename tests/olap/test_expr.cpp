@@ -3,6 +3,7 @@
 #include "common/log.hpp"
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -11,7 +12,7 @@
 #include "olap/expr.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
@@ -244,7 +245,76 @@ TEST(ExprValidation, RejectsExpressionsOutsideTheirContext)
     EXPECT_THROW(validatePlan(p), FatalError);
 }
 
-// ---- random expression trees: batch vs scalar vs naive -------------
+/** Validation must reject @p plan with a message naming the key
+ *  limit (InlineKey::kMaxKeys). */
+void
+expectKeyLimitError(const QueryPlan &plan)
+{
+    try {
+        validatePlan(plan);
+        ADD_FAILURE() << plan.name << " passed validation";
+    } catch (const FatalError &e) {
+        const auto limit =
+            "(max " + std::to_string(InlineKey::kMaxKeys) + ")";
+        EXPECT_NE(std::string(e.what()).find(limit), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(ExprValidation, RejectsKeySetsWiderThanTheInlineKey)
+{
+    // The nine Int columns of ORDERLINE: one more than the limit.
+    static const char *const kCols[] = {
+        "ol_o_id",       "ol_d_id",     "ol_w_id",
+        "ol_number",     "ol_i_id",     "ol_supply_w_id",
+        "ol_delivery_d", "ol_quantity", "ol_amount"};
+    static_assert(std::size(kCols) == InlineKey::kMaxKeys + 1);
+
+    // Group-by: 8 columns execute (and match the reference), 9 are
+    // rejected.
+    Database db(smallConfig());
+    auto grouped = plans::q6();
+    grouped.name = "wide-group";
+    for (std::size_t c = 0; c < InlineKey::kMaxKeys; ++c)
+        grouped.groupBy.push_back({ColRef::kProbe, kCols[c]});
+    testsupport::expectMatchesReference(
+        executePlan(db, grouped),
+        testsupport::referenceExecution(db, grouped), grouped.name);
+    grouped.groupBy.push_back(
+        {ColRef::kProbe, kCols[InlineKey::kMaxKeys]});
+    expectKeyLimitError(grouped);
+
+    // One join's keys: ORDERLINE semi-joined to itself column by
+    // column.
+    auto joined = plans::q6();
+    joined.name = "wide-join";
+    JoinSpec self;
+    self.build.table = ChTable::OrderLine;
+    self.kind = JoinKind::Semi;
+    for (std::size_t c = 0; c < InlineKey::kMaxKeys; ++c)
+        self.keys.push_back({kCols[c], {ColRef::kProbe, kCols[c]}});
+    joined.joins = {self};
+    testsupport::expectMatchesReference(
+        executePlan(db, joined),
+        testsupport::referenceExecution(db, joined), joined.name);
+    joined.joins[0].keys.push_back(
+        {kCols[InlineKey::kMaxKeys],
+         {ColRef::kProbe, kCols[InlineKey::kMaxKeys]}});
+    expectKeyLimitError(joined);
+
+    // Subquery group keys.
+    auto sub = plans::q17();
+    sub.name = "wide-subquery";
+    sub.subqueries[0].groupBy.clear();
+    sub.subqueries[0].keys.clear();
+    for (const auto *col : kCols) {
+        sub.subqueries[0].groupBy.push_back(col);
+        sub.subqueries[0].keys.push_back({ColRef::kProbe, col});
+    }
+    expectKeyLimitError(sub);
+}
+
+// ---- random expression trees: serial vs parallel vs naive ----------
 
 /**
  * Random expression generator over ORDERLINE. Int trees draw from
@@ -377,50 +447,22 @@ class ExprGen
     Rng rng_;
 };
 
+/** The serial executor and its sharded-parallel fan-out both equal
+ *  the naive reference executor byte for byte. */
 void
 expectThreeWayAgreement(Database &db, const QueryPlan &plan)
 {
-    const auto scalar = executePlanScalar(db, plan);
-    const auto batch = executePlan(db, plan);
-    ASSERT_EQ(batch.result.rows.size(), scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i) {
-        EXPECT_EQ(batch.result.rows[i].keys,
-                  scalar.result.rows[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(batch.result.rows[i].count,
-                  scalar.result.rows[i].count)
-            << plan.name << " row " << i;
-    }
+    const auto ref = testsupport::referenceExecution(db, plan);
+    testsupport::expectMatchesReference(executePlan(db, plan), ref,
+                                        plan.name + " serial");
 
-    const auto ref = testsupport::referenceExecute(db, plan);
-    ASSERT_EQ(scalar.result.rows.size(), ref.size()) << plan.name;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(scalar.result.rows[i].keys, ref[i].keys)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].aggs, ref[i].aggs)
-            << plan.name << " row " << i;
-        EXPECT_EQ(scalar.result.rows[i].count, ref[i].count)
-            << plan.name << " row " << i;
-    }
-
-    // And the sharded-parallel fan-out must not change a byte.
     WorkerPool pool(2);
     ExecOptions opts;
     opts.shards = 4;
     opts.workers = 2;
     opts.pool = &pool;
-    const auto parallel = executePlan(db, plan, opts);
-    ASSERT_EQ(parallel.result.rows.size(),
-              scalar.result.rows.size())
-        << plan.name;
-    for (std::size_t i = 0; i < scalar.result.rows.size(); ++i)
-        EXPECT_EQ(parallel.result.rows[i].aggs,
-                  scalar.result.rows[i].aggs)
-            << plan.name << " row " << i;
+    testsupport::expectMatchesReference(executePlan(db, plan, opts),
+                                        ref, plan.name + " w2 s4");
 }
 
 /**

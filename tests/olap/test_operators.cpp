@@ -7,13 +7,14 @@
 
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
-#include "support/reference_executor.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectRowsMatch;
 using testsupport::referenceExecute;
 using txn::Database;
 using txn::DatabaseConfig;
@@ -29,22 +30,6 @@ smallConfig()
     cfg.deltaFraction = 3.0;
     cfg.insertHeadroom = 1.0;
     return cfg;
-}
-
-void
-expectSameRows(const QueryResult &got,
-               const std::vector<testsupport::RefRow> &want,
-               const std::string &what)
-{
-    ASSERT_EQ(got.rows.size(), want.size()) << what;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got.rows[i].keys, want[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].aggs, want[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.rows[i].count, want[i].count)
-            << what << " row " << i;
-    }
 }
 
 /**
@@ -76,11 +61,12 @@ class OperatorPropertyTest
 TEST_P(OperatorPropertyTest, CleanDataMatchesReference)
 {
     engine.prepareSnapshot(db.now());
+    testsupport::RefTables tables(db);
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(db, q.plan),
-                       q.plan.name + " clean");
+        expectRowsMatch(res, referenceExecute(tables, q.plan),
+                        q.plan.name + " clean");
     }
 }
 
@@ -93,11 +79,12 @@ TEST_P(OperatorPropertyTest, InFlightDeltasMatchReference)
                   .deltaUsed(),
               0u);
     engine.prepareSnapshot(db.now());
+    testsupport::RefTables tables(db);
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(db, q.plan),
-                       q.plan.name + " deltas");
+        expectRowsMatch(res, referenceExecute(tables, q.plan),
+                        q.plan.name + " deltas");
     }
 }
 
@@ -129,8 +116,8 @@ TEST_P(OperatorPropertyTest, FrozenSnapshotIgnoresLaterCommits)
     engine.prepareSnapshot(db.now());
     QueryResult fresh;
     engine.runQuery(plan, &fresh);
-    expectSameRows(fresh, referenceExecute(db, plan),
-                   "Q12 after catch-up");
+    expectRowsMatch(fresh, referenceExecute(db, plan),
+                    "Q12 after catch-up");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -208,7 +195,7 @@ TEST_F(OperatorTest, AntiJoinMatchesReference)
     plan.joins[0].kind = JoinKind::Anti;
     QueryResult res;
     engine.runQuery(plan, &res);
-    expectSameRows(res, referenceExecute(db, plan), "Q14 anti");
+    expectRowsMatch(res, referenceExecute(db, plan), "Q14 anti");
 
     // Semi + anti partitions the filtered probe rows exactly.
     auto semi = plans::q14();
@@ -232,7 +219,7 @@ TEST_F(OperatorTest, InnerJoinPayloadGroupingMatchesReference)
     const auto &plan = *workload::executableQueryPlan(12);
     QueryResult res;
     engine.runQuery(plan, &res);
-    expectSameRows(res, referenceExecute(db, plan), "Q12");
+    expectRowsMatch(res, referenceExecute(db, plan), "Q12");
     for (const auto &row : res.rows)
         EXPECT_GT(row.count, 0u);
 }
@@ -311,11 +298,12 @@ TEST_F(OperatorTest, FragmentedColumnsFallBackToGatherPath)
     Database frag_db(cfg);
     OlapEngine frag_engine(frag_db, OlapConfig::pushtapDimm());
     frag_engine.prepareSnapshot(frag_db.now());
+    testsupport::RefTables tables(frag_db);
     for (const auto &q : workload::chExecutablePlans()) {
         QueryResult res;
         frag_engine.runQuery(q.plan, &res);
-        expectSameRows(res, referenceExecute(frag_db, q.plan),
-                       q.plan.name + " fragmented");
+        expectRowsMatch(res, referenceExecute(tables, q.plan),
+                        q.plan.name + " fragmented");
     }
 }
 

@@ -9,12 +9,16 @@
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
 #include "olap/simd_kernels.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectMatchesReference;
+using testsupport::RefExecution;
+using testsupport::referenceCatalog;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -33,25 +37,6 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /** Force the scalar reference kernels for one scope. */
 struct ScalarGuard
 {
@@ -62,9 +47,11 @@ struct ScalarGuard
 /**
  * Byte-identity of the partitioned parallel build phase: every
  * catalog plan with a join or subquery, every InstanceFormat, swept
- * across workers x shards against the scalar reference pipeline.
+ * across workers x shards against the naive reference executor.
  * In-flight deltas (transactions ingested after the snapshot) stay
- * in the delta region and stress the two-tasks-per-shard scan order.
+ * in the delta region and stress the two-tasks-per-shard scan order;
+ * the reference answers are taken before they commit, while the
+ * newest versions still equal the snapshot.
  */
 class ParallelBuildTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -81,6 +68,7 @@ class ParallelBuildTest
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
         engine.prepareSnapshot(db.now());
+        refs = referenceCatalog(db);
         // In-flight rows: invisible to the snapshot, present in the
         // delta region the build tasks walk.
         for (int i = 0; i < 10; ++i)
@@ -92,10 +80,13 @@ class ParallelBuildTest
     dram::BatchTimingModel timing;
     TpccEngine oltp;
     OlapEngine engine;
+    std::vector<RefExecution> refs;
 };
 
-TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkersAndShards)
+TEST_P(ParallelBuildTest,
+       BuildPlansMatchReferenceAcrossWorkersAndShards)
 {
+    const auto &plans = workload::chExecutablePlans();
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
         WorkerPool pool(workers);
@@ -104,16 +95,15 @@ TEST_P(ParallelBuildTest, BuildPlansMatchScalarAcrossWorkersAndShards)
             opts.shards = shards;
             opts.workers = workers;
             opts.pool = workers > 1 ? &pool : nullptr;
-            for (const auto &q : workload::chExecutablePlans()) {
-                if (q.plan.joins.empty() &&
-                    q.plan.subqueries.empty())
+            for (std::size_t i = 0; i < plans.size(); ++i) {
+                const auto &plan = plans[i].plan;
+                if (plan.joins.empty() && plan.subqueries.empty())
                     continue;
                 const auto what =
-                    q.plan.name + " w" + std::to_string(workers) +
+                    plan.name + " w" + std::to_string(workers) +
                     " s" + std::to_string(shards);
-                expectSameExecution(
-                    executePlan(db, q.plan, opts),
-                    executePlanScalar(db, q.plan), what);
+                expectMatchesReference(executePlan(db, plan, opts),
+                                       refs[i], what);
             }
         }
     }
@@ -129,14 +119,16 @@ TEST_P(ParallelBuildTest, ForcedScalarDispatchStaysByteIdentical)
     opts.shards = 4;
     opts.workers = 4;
     opts.pool = &pool;
-    for (const auto &q : workload::chExecutablePlans())
-        expectSameExecution(executePlan(db, q.plan, opts),
-                            executePlanScalar(db, q.plan),
-                            q.plan.name + " forced-scalar");
+    const auto &plans = workload::chExecutablePlans();
+    for (std::size_t i = 0; i < plans.size(); ++i)
+        expectMatchesReference(executePlan(db, plans[i].plan, opts),
+                               refs[i],
+                               plans[i].plan.name + " forced-scalar");
 }
 
 TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
 {
+    const auto &plans = workload::chExecutablePlans();
     WorkerPool pool(4);
     for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
         ExecOptions opts;
@@ -144,13 +136,13 @@ TEST_P(ParallelBuildTest, MorselRowsSweepIsBuildInvariant)
         opts.workers = 4;
         opts.morselRows = morsel;
         opts.pool = &pool;
-        for (const auto &q : workload::chExecutablePlans()) {
-            if (q.plan.joins.empty() && q.plan.subqueries.empty())
+        for (std::size_t i = 0; i < plans.size(); ++i) {
+            const auto &plan = plans[i].plan;
+            if (plan.joins.empty() && plan.subqueries.empty())
                 continue;
-            expectSameExecution(
-                executePlan(db, q.plan, opts),
-                executePlanScalar(db, q.plan),
-                q.plan.name + " morsel " + std::to_string(morsel));
+            expectMatchesReference(
+                executePlan(db, plan, opts), refs[i],
+                plan.name + " morsel " + std::to_string(morsel));
         }
     }
 }

@@ -10,12 +10,17 @@
 #include "common/worker_pool.hpp"
 #include "olap/olap_engine.hpp"
 #include "olap/operators.hpp"
+#include "support/reference_check.hpp"
 #include "txn/tpcc_engine.hpp"
 #include "workload/query_catalog.hpp"
 
 namespace pushtap::olap {
 namespace {
 
+using testsupport::expectMatchesReference;
+using testsupport::expectRowsMatch;
+using testsupport::RefExecution;
+using testsupport::referenceCatalog;
 using txn::Database;
 using txn::DatabaseConfig;
 using txn::InstanceFormat;
@@ -35,30 +40,11 @@ smallConfig()
     return cfg;
 }
 
-void
-expectSameExecution(const PlanExecution &got,
-                    const PlanExecution &want,
-                    const std::string &what)
-{
-    EXPECT_EQ(got.rowsVisible, want.rowsVisible) << what;
-    ASSERT_EQ(got.result.rows.size(), want.result.rows.size())
-        << what;
-    for (std::size_t i = 0; i < want.result.rows.size(); ++i) {
-        EXPECT_EQ(got.result.rows[i].keys, want.result.rows[i].keys)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].aggs, want.result.rows[i].aggs)
-            << what << " row " << i;
-        EXPECT_EQ(got.result.rows[i].count,
-                  want.result.rows[i].count)
-            << what << " row " << i;
-    }
-}
-
 /**
  * The workers x shards sweep of the acceptance criteria: every
  * executable catalog plan, every InstanceFormat, workers {1, 2, 4,
- * hardware} x shards {1, 2, 4} — all byte-identical to the scalar
- * reference pipeline.
+ * hardware} x shards {1, 2, 4} — all byte-identical to the naive
+ * reference executor, whose answers are taken once per plan.
  */
 class ParallelExecTest
     : public ::testing::TestWithParam<InstanceFormat>
@@ -75,6 +61,7 @@ class ParallelExecTest
         for (int i = 0; i < 40; ++i)
             oltp.executeMixed();
         engine.prepareSnapshot(db.now());
+        refs = referenceCatalog(db);
     }
 
     Database db;
@@ -82,10 +69,12 @@ class ParallelExecTest
     dram::BatchTimingModel timing;
     TpccEngine oltp;
     OlapEngine engine;
+    std::vector<RefExecution> refs;
 };
 
-TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkersAndShards)
+TEST_P(ParallelExecTest, AllPlansMatchReferenceAcrossWorkersAndShards)
 {
+    const auto &plans = workload::chExecutablePlans();
     const std::uint32_t hw = WorkerPool::hardwareWorkers();
     for (const std::uint32_t workers : {1u, 2u, 4u, hw}) {
         WorkerPool pool(workers);
@@ -94,13 +83,13 @@ TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkersAndShards)
             opts.shards = shards;
             opts.workers = workers;
             opts.pool = workers > 1 ? &pool : nullptr;
-            for (const auto &q : workload::chExecutablePlans()) {
+            for (std::size_t i = 0; i < plans.size(); ++i) {
+                const auto &plan = plans[i].plan;
                 const auto what =
-                    q.plan.name + " w" + std::to_string(workers) +
+                    plan.name + " w" + std::to_string(workers) +
                     " s" + std::to_string(shards);
-                expectSameExecution(
-                    executePlan(db, q.plan, opts),
-                    executePlanScalar(db, q.plan), what);
+                expectMatchesReference(executePlan(db, plan, opts),
+                                       refs[i], what);
             }
         }
     }
@@ -108,6 +97,7 @@ TEST_P(ParallelExecTest, AllPlansMatchScalarAcrossWorkersAndShards)
 
 TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
 {
+    const auto &plans = workload::chExecutablePlans();
     WorkerPool pool(2);
     for (const std::uint32_t morsel : {256u, 2048u, 8192u}) {
         ExecOptions opts;
@@ -115,11 +105,11 @@ TEST_P(ParallelExecTest, MorselRowsSweepIsResultInvariant)
         opts.workers = 2;
         opts.morselRows = morsel;
         opts.pool = &pool;
-        for (const auto &q : workload::chExecutablePlans())
-            expectSameExecution(
-                executePlan(db, q.plan, opts),
-                executePlanScalar(db, q.plan),
-                q.plan.name + " morsel " + std::to_string(morsel));
+        for (std::size_t i = 0; i < plans.size(); ++i)
+            expectMatchesReference(
+                executePlan(db, plans[i].plan, opts), refs[i],
+                plans[i].plan.name + " morsel " +
+                    std::to_string(morsel));
     }
 }
 
@@ -271,20 +261,15 @@ TEST_F(ShardPricingTest, ShardBytesComposeAdditively)
 TEST_F(ShardPricingTest, EngineShardingKeepsReferenceAnswers)
 {
     // End-to-end through the engine at an aggressive configuration:
-    // answers equal the scalar reference pipeline exactly.
+    // answers equal the naive reference executor exactly.
     OlapEngine engine(db, config(4, 4));
     engine.prepareSnapshot(db.now());
-    for (const auto &q : workload::chExecutablePlans()) {
+    const auto refs = referenceCatalog(db);
+    const auto &plans = workload::chExecutablePlans();
+    for (std::size_t i = 0; i < plans.size(); ++i) {
         QueryResult res;
-        engine.runQuery(q.plan, &res);
-        const auto want = executePlanScalar(db, q.plan);
-        ASSERT_EQ(res.rows.size(), want.result.rows.size())
-            << q.plan.name;
-        for (std::size_t i = 0; i < res.rows.size(); ++i) {
-            EXPECT_EQ(res.rows[i].keys, want.result.rows[i].keys);
-            EXPECT_EQ(res.rows[i].aggs, want.result.rows[i].aggs);
-            EXPECT_EQ(res.rows[i].count, want.result.rows[i].count);
-        }
+        engine.runQuery(plans[i].plan, &res);
+        expectRowsMatch(res, refs[i].rows, plans[i].plan.name);
     }
 }
 

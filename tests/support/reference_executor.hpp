@@ -9,24 +9,24 @@
  *
  *  - row visibility: version chains (Database::readNewest) instead
  *    of snapshot bitmaps,
- *  - column access: canonical row views instead of typed per-column
- *    scanners over the unified layout,
- *  - join keys: int tuples in ordered maps instead of packed byte
- *    strings in hash maps,
- *  - match expansion: breadth-first context lists instead of
- *    recursive descent,
+ *  - column access: canonical row views instead of per-morsel typed
+ *    column decodes over the unified layout,
+ *  - join keys: int tuples in ordered maps instead of inline-key
+ *    hash tables,
+ *  - match expansion: breadth-first per-row context lists instead of
+ *    batched per-morsel index/payload vectors,
  *  - expressions: direct recursion over ConstRowView values with an
  *    independently-written arithmetic switch and a recursive
- *    backtracking LIKE matcher (the engine compiles trees against
- *    typed scanners / vectorized kernels and matches LIKE by
- *    anchored piece scanning),
+ *    backtracking LIKE matcher (the engine evaluates trees
+ *    column-at-a-time through vectorized kernels and matches LIKE by
+ *    anchored piece scanning or dictionary truth tables),
  *  - scalar subqueries: ordered maps keyed by int-tuple vectors
  *    instead of the engine's inline-key hash lookups.
  *
  * Aggregate accumulation, the orderBy/limit step, and the IR's
  * value semantics (wrapping arithmetic, guarded division, NUL-
  * truncated LIKE payloads, missing-group = 0) are direct
- * transcriptions of the spec in both executors, so defects there
+ * transcriptions of the spec in both places, so defects there
  * would be shared; the operator suites pin those behaviors with
  * independent direct assertions (explicit ordering checks,
  * hand-computed Min/Max, literal LIKE tables) instead.
@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,10 +163,13 @@ refEvalLocal(const olap::Expr &e, const workload::ConstRowView &v,
 }
 
 /** Full-plan expression evaluation (aggregate expressions): columns
- *  resolve through @p resolve; LIKE/subqueries cannot appear. */
+ *  resolve through @p resolve, LIKE reads the probe row @p probe
+ *  (validatePlan admits full-plan LIKE over probe Char columns
+ *  only); subqueries cannot appear. */
 template <typename Resolve>
 std::int64_t
-refEvalFull(const olap::Expr &e, Resolve &&resolve)
+refEvalFull(const olap::Expr &e, const workload::ConstRowView &probe,
+            Resolve &&resolve)
 {
     using olap::ExprOp;
     switch (e.op) {
@@ -173,15 +177,19 @@ refEvalFull(const olap::Expr &e, Resolve &&resolve)
         return e.lit;
       case ExprOp::Column:
         return resolve(e.col);
+      case ExprOp::Like:
+        return refLike(trimNul(probe.getChars(e.col.column)),
+                       e.pattern);
       case ExprOp::Not:
-        return refEvalFull(*e.kids[0], resolve) == 0;
+        return refEvalFull(*e.kids[0], probe, resolve) == 0;
       case ExprOp::CaseWhen:
-        return refEvalFull(*e.kids[0], resolve) != 0
-                   ? refEvalFull(*e.kids[1], resolve)
-                   : refEvalFull(*e.kids[2], resolve);
+        return refEvalFull(*e.kids[0], probe, resolve) != 0
+                   ? refEvalFull(*e.kids[1], probe, resolve)
+                   : refEvalFull(*e.kids[2], probe, resolve);
       default:
-        return refArith(e.op, refEvalFull(*e.kids[0], resolve),
-                        refEvalFull(*e.kids[1], resolve));
+        return refArith(e.op,
+                        refEvalFull(*e.kids[0], probe, resolve),
+                        refEvalFull(*e.kids[1], probe, resolve));
     }
 }
 
@@ -207,31 +215,54 @@ passes(const workload::ConstRowView &v, const olap::TableInput &in,
     return true;
 }
 
-/** All newest-version canonical rows of a table, chain-resolved. */
-inline std::vector<std::vector<std::uint8_t>>
-materialize(txn::Database &db, workload::ChTable t)
-{
-    const auto &tbl = db.table(t);
-    std::vector<std::vector<std::uint8_t>> rows(
-        tbl.usedDataRows(),
-        std::vector<std::uint8_t>(tbl.schema().rowBytes()));
-    for (RowId r = 0; r < rows.size(); ++r)
-        db.readNewest(t, r, rows[r]);
-    return rows;
-}
-
 } // namespace detail
 
 /**
- * Execute @p plan over the newest committed versions. Result rows
- * are ordered like the operator pipeline's: ascending group keys,
- * then plan.orderBy / plan.limit.
+ * All newest-version canonical rows of the tables plans read,
+ * chain-resolved on a table's first use and reused after that, so
+ * several plans (or a plan reading one table twice) walk each chain
+ * once. Valid while no commit lands on @p db.
+ */
+class RefTables
+{
+  public:
+    explicit RefTables(txn::Database &db) : db_(&db) {}
+
+    txn::Database &db() const { return *db_; }
+
+    const std::vector<std::vector<std::uint8_t>> &
+    rows(workload::ChTable t)
+    {
+        auto &rows = cache_[t];
+        if (!rows) {
+            const auto &tbl = db_->table(t);
+            rows.emplace(tbl.usedDataRows(),
+                         std::vector<std::uint8_t>(
+                             tbl.schema().rowBytes()));
+            for (RowId r = 0; r < rows->size(); ++r)
+                db_->readNewest(t, r, (*rows)[r]);
+        }
+        return *rows;
+    }
+
+  private:
+    txn::Database *db_;
+    std::map<workload::ChTable,
+             std::optional<std::vector<std::vector<std::uint8_t>>>>
+        cache_;
+};
+
+/**
+ * Execute @p plan over the newest committed versions of @p tables.
+ * Result rows are ordered like the operator pipeline's: ascending
+ * group keys, then plan.orderBy / plan.limit.
  */
 inline std::vector<RefRow>
-referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
+referenceExecute(RefTables &tables, const olap::QueryPlan &plan)
 {
     using olap::ColRef;
     using olap::JoinKind;
+    auto &db = tables.db();
 
     // Scalar subqueries: grouped aggregates over the materialized
     // source rows, keyed by int-tuple vectors in ordered maps.
@@ -243,7 +274,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
                            std::uint64_t>>
             groups;
         for (const auto &bytes :
-             detail::materialize(db, spec.source.table)) {
+             tables.rows(spec.source.table)) {
             const workload::ConstRowView v(schema, bytes);
             if (!detail::passes(v, spec.source))
                 continue;
@@ -287,7 +318,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
         const auto &join = plan.joins[k];
         const auto &schema = db.table(join.build.table).schema();
         for (const auto &bytes :
-             detail::materialize(db, join.build.table)) {
+             tables.rows(join.build.table)) {
             const workload::ConstRowView v(schema, bytes);
             if (!detail::passes(v, join.build))
                 continue;
@@ -320,7 +351,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
     using Ctx = std::vector<const std::vector<std::int64_t> *>;
 
     for (const auto &bytes :
-         detail::materialize(db, plan.probe.table)) {
+         tables.rows(plan.probe.table)) {
         const workload::ConstRowView v(probe_schema, bytes);
         if (!detail::passes(v, plan.probe, &plan, &subqueries))
             continue;
@@ -389,7 +420,7 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
                 const auto x =
                     spec.expr
                         ? detail::refEvalFull(
-                              *spec.expr,
+                              *spec.expr, v,
                               [&](const ColRef &ref) {
                                   return resolve(ctx, ref);
                               })
@@ -454,6 +485,14 @@ referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
     if (plan.limit != 0 && rows.size() > plan.limit)
         rows.resize(plan.limit);
     return rows;
+}
+
+/** Execute @p plan over the newest committed versions in @p db. */
+inline std::vector<RefRow>
+referenceExecute(txn::Database &db, const olap::QueryPlan &plan)
+{
+    RefTables tables(db);
+    return referenceExecute(tables, plan);
 }
 
 } // namespace pushtap::testsupport
